@@ -106,7 +106,6 @@ def run_mmap_bench() -> ExperimentResult:
             MEMORY,
             method="pbsm",
             workers=2,
-            shared_memory=True,
         )
         start = time.perf_counter()
         par_mapped = spatial_join(
@@ -115,7 +114,6 @@ def run_mmap_bench() -> ExperimentResult:
             MEMORY,
             method="pbsm",
             workers=2,
-            shared_memory=True,
         )
         par_seconds = time.perf_counter() - start
         # byte-identity is per engine (parallel emits in partition order)

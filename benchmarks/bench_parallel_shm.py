@@ -1,15 +1,17 @@
-"""Bench A9: zero-copy shared memory vs pickle transport in ParallelPBSM.
+"""Bench A9: the shared-memory process transport of ParallelPBSM.
 
 The claim under test: on a 100k-rectangle-per-side PBSM join, shipping
-partition *indices* through one shared-memory segment moves the
-process-pool traffic from megabytes of pickled records down to task
-tuples and manifests — at least 10x fewer IPC bytes — while the join
-output stays byte-identical to the sequential execution and the wall
-clock is no worse at any worker count.
+partition *indices* through one shared-memory segment keeps the
+process-pool traffic to task tuples, configs and manifests, while the
+join output stays byte-identical to the in-process execution.
 
-Wall-clock speedup over the pickle transport needs real cores; on a
-single-CPU container the bytes ratio and byte-identity still assert,
-and the JSON records the walls honestly either way.
+The process pool used to have a second transport that pickled the
+replicated record lists into every task; on this workload it shipped
+``PICKLE_BYTES_AT_W2`` bytes at two workers (3.15 s against 0.79 s for
+shared memory, ``BENCH_parallel_shm.json`` before the pickle transport
+was deleted).  The gate keeps that 10x margin against the recorded
+figure.  Wall clock is recorded, not gated: on a single-CPU container
+the pool cannot show a speedup.
 """
 
 import time
@@ -30,10 +32,9 @@ N_SIDE = 100_000
 MEAN_EDGE = 0.002
 MEMORY = mb(0.5)
 
+#: IPC bytes the deleted pickle transport shipped on this workload at W=2.
+PICKLE_BYTES_AT_W2 = 11_399_556
 MIN_BYTES_RATIO = 10.0
-#: Wall tolerance for "no slower": scheduling jitter on busy CI boxes.
-WALL_TOLERANCE = 1.10
-WALL_SLACK_SECONDS = 0.05
 
 
 def _worker_counts():
@@ -50,27 +51,19 @@ def run_parallel_shm_bench() -> ExperimentResult:
     rows = []
     for workers in _worker_counts():
         reference = None
-        configs = (
-            [("simulated", False)]
-            if workers == 1
-            else [("simulated", False), ("pickle", False), ("shm", True)]
-        )
-        for label, shared in configs:
+        labels = ["simulated"] if workers == 1 else ["simulated", "shm"]
+        for label in labels:
             executor = "simulated" if label == "simulated" else "process"
             join = ParallelPBSM(
-                MEMORY,
-                workers,
-                internal="sweep_numpy",
-                executor=executor,
-                shared_memory=shared,
+                MEMORY, workers, internal="sweep_numpy", executor=executor
             )
             start = time.perf_counter()
             result = join.run(left, right)
             seconds = time.perf_counter() - start
             if reference is None:
                 reference = result.pairs
-            # The tentpole claim: every transport reproduces the
-            # sequential output byte for byte, not merely as a set.
+            # The pool reproduces the in-process output byte for byte,
+            # not merely as a set.
             assert result.pairs == reference
             rows.append(
                 (
@@ -84,7 +77,7 @@ def run_parallel_shm_bench() -> ExperimentResult:
             )
     return ExperimentResult(
         exp_id="Ablation A9",
-        title=f"Pickle vs shared-memory transport ({N_SIDE:,} rects/side)",
+        title=f"Shared-memory process transport ({N_SIDE:,} rects/side)",
         columns=[
             "transport",
             "workers",
@@ -98,7 +91,11 @@ def run_parallel_shm_bench() -> ExperimentResult:
             "partition tasks are index ranges into one shared segment, so "
             "the pool ships task tuples instead of replicated record lists"
         ),
-        notes=[f"machine cpu_count={cpu_count()}"],
+        notes=[
+            f"machine cpu_count={cpu_count()}",
+            f"pickle transport (deleted) shipped {PICKLE_BYTES_AT_W2:,} "
+            "bytes at W=2",
+        ],
     )
 
 
@@ -113,10 +110,6 @@ def test_parallel_shm_bytes_and_wall(benchmark):
     workers = column(result, "workers")
     walls = column(result, "wall_sec")
     ipc_bytes = column(result, "ipc_bytes")
-    by_key = {
-        (t, w): (wall, b)
-        for t, w, wall, b in zip(transports, workers, walls, ipc_bytes)
-    }
     record(
         "parallel_shm",
         result,
@@ -127,12 +120,12 @@ def test_parallel_shm_bytes_and_wall(benchmark):
         ipc_bytes={
             f"{t}/W={w}": b for t, w, b in zip(transports, workers, ipc_bytes)
         },
+        pickle_bytes_at_w2=PICKLE_BYTES_AT_W2,
     )
-    multi = sorted({w for w in workers if w > 1})
-    assert multi, "bench must cover at least one multi-worker count"
-    for w in multi:
-        pickle_wall, pickle_bytes = by_key[("pickle", w)]
-        shm_wall, shm_bytes = by_key[("shm", w)]
-        assert shm_bytes > 0
-        assert pickle_bytes >= MIN_BYTES_RATIO * shm_bytes
-        assert shm_wall <= pickle_wall * WALL_TOLERANCE + WALL_SLACK_SECONDS
+    shm_bytes = {
+        w: b for t, w, b in zip(transports, workers, ipc_bytes) if t == "shm"
+    }
+    assert shm_bytes, "bench must cover at least one multi-worker count"
+    for w, b in shm_bytes.items():
+        assert b > 0
+        assert PICKLE_BYTES_AT_W2 >= MIN_BYTES_RATIO * b, (w, b)

@@ -38,7 +38,6 @@ from repro.core.rect import KPE
 from repro.datasets.synthetic import zipf_rects
 from repro.io.costmodel import mb
 from repro.kernels.backend import cpu_count, numpy_enabled
-from repro.kernels.shm import shm_enabled
 from repro.pbsm import PBSM
 from repro.pbsm.parallel import ParallelPBSM
 
@@ -90,14 +89,13 @@ def skewed_workload():
     return left, right
 
 
-def _run(executor, scheduler, shared_memory, workers, left, right):
+def _run(executor, scheduler, workers, left, right):
     join = ParallelPBSM(
         MEMORY,
         workers,
         internal="sweep_numpy",
         executor=executor,
         scheduler=scheduler,
-        shared_memory=shared_memory,
     )
     started = time.perf_counter()
     result = join.run(left, right)
@@ -111,19 +109,18 @@ def run_parallel_skew_bench() -> ExperimentResult:
     )
     reference_pairs = sequential.pair_set()
 
-    shm = shm_enabled()
     configs = [
-        # (row label, executor, scheduler, shared_memory, workers)
-        ("sim-serial", "simulated", "static", False, 1),
-        ("sim-static", "simulated", "static", False, WORKERS),
-        ("sim-stealing", "simulated", "stealing", False, WORKERS),
-        ("static", "process", "static", shm, WORKERS),
-        ("stealing", "process", "stealing", shm, WORKERS),
-        ("thread-stealing", "thread", "stealing", False, WORKERS),
+        # (row label, executor, scheduler, workers)
+        ("sim-serial", "simulated", "static", 1),
+        ("sim-static", "simulated", "static", WORKERS),
+        ("sim-stealing", "simulated", "stealing", WORKERS),
+        ("static", "process", "static", WORKERS),
+        ("stealing", "process", "stealing", WORKERS),
+        ("thread-stealing", "thread", "stealing", WORKERS),
     ]
     rows = []
-    for label, executor, scheduler, shared, workers in configs:
-        result, wall = _run(executor, scheduler, shared, workers, left, right)
+    for label, executor, scheduler, workers in configs:
+        result, wall = _run(executor, scheduler, workers, left, right)
         stats = result.stats
         assert result.pair_set() == reference_pairs  # byte-identical join
         assert not result.has_duplicates()

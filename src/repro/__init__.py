@@ -81,17 +81,17 @@ def spatial_join(
         When given (and > 1), execute the join-phase partition pairs on a
         real process pool via :class:`~repro.pbsm.ParallelPBSM` —
         supported for ``method="pbsm"`` and, as an enumeration hint, for
-        ``method="auto"`` (the planner then costs parallel candidates on
-        both transports against the sequential plans).  ``workers=1``
+        ``method="auto"`` (the planner then costs the parallel
+        candidates against the sequential plans).  ``workers=1``
         runs the same task decomposition in-process.  Result pairs are
         identical to the sequential execution.
     shared_memory:
-        With ``workers`` and ``method="pbsm"``: ship partition data to
-        the pool through one zero-copy shared-memory segment instead of
-        pickling record lists (see ``docs/kernels.md``).  Degrades to the
-        pickle transport when numpy or platform shared memory is missing
-        or ``REPRO_DISABLE_SHM`` is set; ``stats.shared_memory`` records
-        what actually ran.
+        Accepted for compatibility and requires ``workers``; it changes
+        nothing.  The process pool always ships partition data through
+        one zero-copy shared-memory segment (see ``docs/kernels.md``) and
+        runs the tasks in-process when numpy or platform shared memory is
+        missing or ``REPRO_DISABLE_SHM`` is set; ``stats.shared_memory``
+        records what actually ran.
     tracer:
         A :class:`~repro.obs.Tracer` to record spans on: one
         ``spatial_join`` section wrapping the planner's ``plan`` span
@@ -135,11 +135,7 @@ def spatial_join(
             kwargs.setdefault("internal", "sweep_numpy")
             kwargs.setdefault("executor", "process")
             result = ParallelPBSM(
-                memory_bytes,
-                workers,
-                shared_memory=shared_memory,
-                tracer=tracer,
-                **kwargs,
+                memory_bytes, workers, tracer=tracer, **kwargs
             ).run(left, right)
         elif method == "auto":
             from repro.planner.cache import DEFAULT_CACHE

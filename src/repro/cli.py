@@ -182,14 +182,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
             )
             return 2
         kwargs["scheduler"] = args.scheduler
-    if args.shm:
-        if args.workers is None or args.method != "pbsm":
-            print(
-                "error: --shm requires --workers and --method pbsm",
-                file=sys.stderr,
-            )
-            return 2
-        kwargs["shared_memory"] = True
     tracer = None
     if args.trace:
         from repro.obs import Tracer
@@ -439,12 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("static", "stealing"),
         help="with --workers: static LPT chunking or work stealing with "
         "duplicate-free stripe splitting (default)",
-    )
-    join.add_argument(
-        "--shm",
-        action="store_true",
-        help="with --workers: ship partition data through zero-copy "
-        "shared memory instead of pickling records",
     )
     join.add_argument("--out", default=None, help="write result pairs as CSV")
     join.add_argument(

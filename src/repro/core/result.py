@@ -24,8 +24,8 @@ class JoinStats:
     #: how partition joins were executed: "process" (multiprocess
     #: fan-out), "simulated" (modelled parallelism), or "" for sequential
     executor: str = ""
-    #: True when the process executor actually used the zero-copy
-    #: shared-memory transport (False when requested but degraded)
+    #: True when the process executor's shared-memory fan-out ran (False
+    #: when it degraded to the in-process loop)
     shared_memory: bool = False
     # --- cardinalities -------------------------------------------------
     n_left: int = 0
@@ -78,8 +78,8 @@ class JoinStats:
     #: bytes that actually crossed the process boundary (chunk payloads
     #: out plus result blobs/manifests back; process executor only)
     ipc_bytes_shipped: int = 0
-    #: parent-side wall seconds spent on transport work: payload
-    #: encode/decode, and for the shm transport the segment build
+    #: parent-side wall seconds spent on transport work: segment build,
+    #: payload encode and result decode
     ipc_seconds: float = 0.0
     # --- end-to-end timing ----------------------------------------------
     #: wall seconds spent planning before execution (method="auto" only)

@@ -64,9 +64,8 @@ class CostModel:
     hilbert_code_op_seconds: float = 8.0e-6
     #: Simulated seconds per byte serialised across a process boundary
     #: (pickle encode + pipe + decode, ~500 MB/s end to end).  Prices the
-    #: transport choice of the parallel executors: the planner charges
-    #: pickled records per task under the legacy transport and only task
-    #: tuples/manifests under the shared-memory transport.
+    #: process executor's pipe traffic: task tuples, configs and
+    #: manifests of the shared-memory transport.
     ipc_byte_seconds: float = 2.0e-9
     #: Simulated seconds of parent-side overhead per dispatch unit
     #: submitted to a pool (future bookkeeping, queue handoff).  Prices

@@ -29,7 +29,7 @@ zero-copy results.
 ``shm_enabled()`` gates the whole path: the numpy backend must be on,
 ``REPRO_DISABLE_SHM`` must be unset, and the platform must actually
 support POSIX shared memory (probed once). When the gate is closed the
-executor falls back to the legacy pickle transport, bit-for-bit.
+process executor runs its tasks in-process instead, bit-for-bit.
 """
 
 from __future__ import annotations
@@ -119,8 +119,9 @@ def shm_enabled() -> bool:
     """True when the zero-copy shared-memory executor may be used.
 
     Mirrors :func:`repro.kernels.backend.numpy_enabled`: one switch
-    (``REPRO_DISABLE_SHM``) flips every caller to the pickle fallback,
-    which is how CI proves the degraded path stays byte-identical.
+    (``REPRO_DISABLE_SHM``) flips every caller to the in-process
+    fallback, which is how CI proves the degraded path stays
+    byte-identical.
     """
     if os.environ.get("REPRO_DISABLE_SHM"):
         return False

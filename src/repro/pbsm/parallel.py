@@ -44,23 +44,22 @@ remaining tasks are packed.  Two knobs attack that:
   ``stats.scheduler_idle_seconds`` is the summed worker idle time the
   makespan hides.
 
-The process executor ships its data one of two ways:
-
-* the legacy **pickle transport**: each chunk payload carries the full
-  (replicated) record lists of its tasks, and pair lists come back the
-  same way.  The internal name and grid spec are installed once per
-  worker by a pool initializer, not re-pickled per chunk.
-* the **zero-copy shared-memory transport** (``shared_memory=True``):
-  both inputs are loaded once into a columnar
-  :class:`~repro.kernels.shm.SharedColumnarStore` segment together with
-  CSR partition-index arrays, a join task shrinks to five integers
-  ``(pid, l_lo, l_hi, r_lo, r_hi)`` (seven with a stripe part), workers
-  attach by segment name in the pool initializer and gather their slices
-  straight out of the mapped pages, and result ``(rid, sid)`` id buffers
-  come back through a worker-created segment — only task tuples and
-  manifests ever cross the pipe.  Requires the numpy backend;
-  ``REPRO_DISABLE_SHM=1`` (or a platform without POSIX shared memory)
-  falls back to the pickle transport with byte-identical output.
+The process executor has one transport, zero-copy shared memory: both
+inputs are loaded once into a columnar
+:class:`~repro.kernels.shm.SharedColumnarStore` segment together with CSR
+partition-index arrays (or only the CSR arrays, when ``pinned=`` names
+dataset segments that already hold the columns), a join task shrinks to
+five integers ``(pid, l_lo, l_hi, r_lo, r_hi)`` (seven with a stripe
+part), and result ``(rid, sid)`` id buffers come back through a
+worker-created segment — only task tuples and manifests cross the pipe.
+A pool spawned per run and an externally owned persistent pool
+(``pool=``, the ``repro serve`` path) are driven identically: every
+chunk payload is ``(config, tasks)``, submitted to the one worker entry
+:func:`_run_pool_chunk`, which attaches the segments the config names for
+the chunk's duration.  Without numpy or POSIX shared memory (or with
+``REPRO_DISABLE_SHM=1``) ``executor="process"`` runs the in-process loop
+instead, with one :class:`RuntimeWarning` per process and byte-identical
+output — there is no pure-Python process parallelism.
 
 Duplicate handling is online — ``dedup="rpm"`` (the reference-point test)
 or ``dedup="twolayer"`` (corner-class avoidance, zero per-pair work) —
@@ -78,6 +77,7 @@ import pickle
 import threading
 import time
 import warnings
+from contextlib import nullcontext
 from typing import (
     Any,
     Callable,
@@ -87,7 +87,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    cast,
 )
 
 from repro.core.phases import PHASE_JOIN, PHASE_PARTITION
@@ -162,10 +161,6 @@ ShmJoinTask = Tuple[Any, ...]
 #: of being dropped.
 TaskOutcome = Tuple[int, int, List[Tuple[int, int]], int, Dict[str, int], float]
 
-#: ``(worker_pid, chunk_wall_seconds, task_outcomes)`` — what one chunk of
-#: tasks reports back from a pool worker.
-ChunkOutcome = Tuple[int, float, List[TaskOutcome]]
-
 #: ``(worker_label, chunk_wall, task_outcomes, chunk_bytes)`` — one
 #: decoded chunk as :meth:`ParallelPBSM._emit_pool_spans` consumes it.
 ChunkReport = Tuple[str, float, List[TaskOutcome], int]
@@ -201,14 +196,14 @@ def _worker_cap() -> int:
     return cap
 
 
-#: Clamp messages already warned about in this process.  A serve loop
-#: constructs one ``ParallelPBSM`` per query; re-warning the same clamp on
-#: every request is noise, so each distinct message fires exactly once.
+#: Clamp and degrade messages already warned about in this process.  A
+#: serve loop constructs one ``ParallelPBSM`` per query; re-warning the
+#: same message on every request is noise, so each fires exactly once.
 _WARNED_CLAMPS: Set[str] = set()
 
 
-def _warn_clamp(message: str) -> None:
-    """Emit a clamp ``RuntimeWarning`` exactly once per process."""
+def _warn_once(message: str) -> None:
+    """Emit a ``RuntimeWarning`` exactly once per process."""
     if message in _WARNED_CLAMPS:
         return
     _WARNED_CLAMPS.add(message)
@@ -216,7 +211,7 @@ def _warn_clamp(message: str) -> None:
 
 
 def reset_clamp_warnings() -> None:
-    """Forget previously-warned clamps (tests asserting on the warning)."""
+    """Forget previously-warned messages (tests asserting on the warning)."""
     _WARNED_CLAMPS.clear()
 
 
@@ -294,128 +289,120 @@ def _run_join_task(
 
 
 # ----------------------------------------------------------------------
-# pool worker state (set once per worker by the initializer)
+# the process-pool worker entry (spawned and persistent pools alike)
 # ----------------------------------------------------------------------
-_POOL_INTERNAL: Optional[str] = None
-_POOL_GRID: Optional[TileGrid] = None
-_POOL_STORE: Optional[SharedColumnarStore] = None
-_POOL_DEDUP: str = "rpm"
+#: ``(manifest, ((alias, real_prefix), ...), cache)`` — one store a chunk
+#: attaches.  ``cache=True`` marks a long-lived (pinned) segment the
+#: worker may keep attached across queries; ``cache=False`` marks the
+#: per-query segment, closed again when the chunk ends.
+StoreRef = Tuple[Manifest, Tuple[Tuple[str, str], ...], bool]
+
+#: ``(internal_name, grid_spec, store_refs, dedup)`` — the per-query
+#: configuration every chunk carries, so no pool needs an initializer.
+PoolConfig = Tuple[str, Tuple, Tuple[StoreRef, ...], str]
+
+#: Long-lived attachments by segment name (pinned dataset segments);
+#: lives in the worker process for the lifetime of its pool.
+_ATTACHED: Dict[str, SharedColumnarStore] = {}
 
 
-def _pool_init(
-    internal_name: str,
-    grid_spec: Tuple,
-    manifest: Optional[Any] = None,
-    dedup: str = "rpm",
-) -> None:
-    """Process-pool initializer: rebuild per-worker state exactly once.
+def _attach_store(
+    refs: Tuple[StoreRef, ...]
+) -> Tuple[Any, List[SharedColumnarStore]]:
+    """Assemble the chunk's store view from *refs*.
 
-    The internal-algorithm name, the grid and the dedup mode used to be
-    re-pickled into every chunk payload; all are installed here instead,
-    once per worker.  With a shared-memory *manifest* the worker also
-    attaches the input segment here, so chunk payloads shrink to bare
-    task tuples.
+    Returns ``(store, ephemeral)`` where *ephemeral* are the attachments
+    the caller must close when the chunk is done (per-query segments);
+    cached attachments stay mapped for the next query over the same
+    pinned dataset — that is the amortisation a persistent pool buys.
     """
-    global _POOL_INTERNAL, _POOL_GRID, _POOL_STORE, _POOL_DEDUP
-    _POOL_INTERNAL = internal_name
-    _POOL_GRID = _grid_from_spec(grid_spec)
-    _POOL_STORE = (
-        SharedColumnarStore.attach(manifest) if manifest is not None else None
-    )
-    _POOL_DEDUP = dedup
+    views: List[Any] = []
+    ephemeral: List[SharedColumnarStore] = []
+    for manifest, aliases, cache in refs:
+        name = manifest[0]
+        if cache:
+            attached = _ATTACHED.get(name)
+            if attached is None:
+                # Custody moves into the module-level cache: the segment
+                # stays mapped for the pool's lifetime by design.
+                attached = SharedColumnarStore.attach(manifest)  # repro-lint: disable=RPL004
+                _ATTACHED[name] = attached
+        else:
+            # Custody moves into the returned `ephemeral` list; the
+            # chunk runner closes every entry in its finally block.
+            attached = SharedColumnarStore.attach(manifest)  # repro-lint: disable=RPL004
+            ephemeral.append(attached)
+        views.append(
+            AliasedStore(attached, dict(aliases)) if aliases else attached
+        )
+    if len(views) == 1:
+        return views[0], ephemeral
+    return ChainedStore(views), ephemeral
 
 
-def _run_chunk(payload: bytes) -> bytes:
-    """Pickle-transport worker entry point: run one chunk of join tasks.
+def _run_pool_chunk(payload: bytes) -> bytes:
+    """The one process-pool worker entry: run a chunk of CSR-slice tasks.
 
-    The payload is the pickled task list and the return value is the
-    pickled :data:`ChunkOutcome` — the parent pre-serialises and
-    post-deserialises both, so ``len()`` of what crosses the pool is an
-    exact measurement of the bytes this transport ships.  The worker
-    measures its own chunk wall time (and each task measures its own),
-    because the parent cannot observe time spent inside another process —
-    it only sees the fan-out's makespan.
+    The payload is the pickled ``(config, tasks)`` pair (see
+    :data:`PoolConfig`).  The grid is rebuilt per chunk (cheap); the
+    per-query segment is attached for the chunk only, pinned dataset
+    segments stay attached across chunks and queries.  Each task's
+    partition rows are gathered straight out of the mapped pages and run
+    through the columnar kernel (or the scalar internal on a KPE round
+    trip — same values either way); every task's ``(rid, sid)`` id
+    buffers go into one fresh worker-created segment, and the reply is
+    ``(worker_pid, chunk_wall, task_metas, result_manifest)``.  The
+    worker measures its own chunk and task wall times, because the
+    parent cannot observe time spent inside another process.  The parent
+    pre-serialises the payload and post-deserialises the reply, so
+    ``len()`` of both is an exact measurement of the bytes crossing the
+    pool.
     """
-    assert _POOL_INTERNAL is not None and _POOL_GRID is not None
-    tasks: List[JoinTask] = pickle.loads(payload)
-    return _chunk_blob(_POOL_INTERNAL, _POOL_GRID, tasks, _POOL_DEDUP)
-
-
-def _chunk_blob(
-    internal_name: str, grid: TileGrid, tasks: List[JoinTask], dedup: str = "rpm"
-) -> bytes:
-    """Run one pickle-transport chunk and serialise its :data:`ChunkOutcome`."""
-    started = time.perf_counter()
-    outcomes = [_run_join_task(internal_name, grid, task, dedup) for task in tasks]
-    wall = time.perf_counter() - started
-    return pickle.dumps(
-        (os.getpid(), wall, outcomes), pickle.HIGHEST_PROTOCOL
-    )
-
-
-def _run_shm_chunk(payload: bytes) -> bytes:
-    """Shared-memory worker entry point: tasks are CSR slices, not records.
-
-    Gathers each task's partition rows straight out of the attached
-    segment, runs the columnar RPM kernel (or the scalar internal on a
-    KPE round trip — same values either way), stores every task's
-    ``(rid, sid)`` id buffers in a fresh worker-created segment, and
-    ships back only the per-task metadata plus that segment's manifest.
-    The parent attaches, decodes in partition order and unlinks.
-    """
-    assert _POOL_INTERNAL is not None and _POOL_GRID is not None
-    tasks: List[ShmJoinTask] = pickle.loads(payload)
-    return _shm_chunk_blob(
-        _POOL_INTERNAL, _POOL_GRID, _POOL_STORE, tasks, _POOL_DEDUP
-    )
-
-
-def _shm_chunk_blob(
-    internal_name: str,
-    grid: TileGrid,
-    store: Any,
-    tasks: List[ShmJoinTask],
-    dedup: str = "rpm",
-) -> bytes:
-    """Run one shared-memory chunk against *store* and serialise the blob."""
     np = require_numpy()
     started = time.perf_counter()
+    (internal_name, grid_spec, refs, dedup), tasks = pickle.loads(payload)
+    grid = _grid_from_spec(grid_spec)
     metas = []
     out_arrays: Dict[str, object] = {}
-    for task in tasks:
-        pid, l_lo, l_hi, r_lo, r_hi = task[0], task[1], task[2], task[3], task[4]
-        stripe = _task_stripe(task)
-        part = stripe[0] if stripe is not None else 0
-        task_started = time.perf_counter()
-        counters = CpuCounters()
-        a = store.gather("L", store["L.ids"][l_lo:l_hi])
-        b = store.gather("R", store["R.ids"][r_lo:r_hi])
-        if internal_name == "sweep_numpy":
-            join_ids = rpm_join_ids if dedup == "rpm" else twolayer_join_ids
-            rid, sid, suppressed = join_ids(
-                a, b, grid, pid, counters, stripe_slice=stripe
-            )
-            counter_dict = counters.as_dict()
-        else:
-            record_task: Tuple = (pid, a.to_kpes(), b.to_kpes())
-            if stripe is not None:
-                record_task = record_task + stripe
-            _, _, pairs, suppressed, counter_dict, _ = _run_join_task(
-                internal_name, grid, record_task, dedup
-            )
-            rid = np.fromiter(
-                (p[0] for p in pairs), dtype=np.int64, count=len(pairs)
-            )
-            sid = np.fromiter(
-                (p[1] for p in pairs), dtype=np.int64, count=len(pairs)
-            )
-        out_arrays[f"{pid}.{part}.rid"] = rid
-        out_arrays[f"{pid}.{part}.sid"] = sid
-        metas.append(
-            (pid, part, suppressed, counter_dict, time.perf_counter() - task_started)
-        )
+    store, ephemeral = _attach_store(refs)
+    try:
+        for task in tasks:
+            pid, l_lo, l_hi, r_lo, r_hi = task[:5]
+            stripe = _task_stripe(task)
+            part = stripe[0] if stripe is not None else 0
+            task_started = time.perf_counter()
+            counters = CpuCounters()
+            a = store.gather("L", store["L.ids"][l_lo:l_hi])
+            b = store.gather("R", store["R.ids"][r_lo:r_hi])
+            if internal_name == "sweep_numpy":
+                join_ids = rpm_join_ids if dedup == "rpm" else twolayer_join_ids
+                rid, sid, suppressed = join_ids(
+                    a, b, grid, pid, counters, stripe_slice=stripe
+                )
+                counter_dict = counters.as_dict()
+            else:
+                record_task: Tuple = (pid, a.to_kpes(), b.to_kpes())
+                if stripe is not None:
+                    record_task = record_task + stripe
+                _, _, pairs, suppressed, counter_dict, _ = _run_join_task(
+                    internal_name, grid, record_task, dedup
+                )
+                rid = np.fromiter(
+                    (p[0] for p in pairs), dtype=np.int64, count=len(pairs)
+                )
+                sid = np.fromiter(
+                    (p[1] for p in pairs), dtype=np.int64, count=len(pairs)
+                )
+            out_arrays[f"{pid}.{part}.rid"] = rid
+            out_arrays[f"{pid}.{part}.sid"] = sid
+            task_wall = time.perf_counter() - task_started
+            metas.append((pid, part, suppressed, counter_dict, task_wall))
+    finally:
+        for attached in ephemeral:
+            attached.close()
     wall = time.perf_counter() - started
-    # Untracked on purpose: the parent unlinks after decoding (a worker
+    # Untracked on purpose: the parent unlinks after decoding — or, if
+    # another chunk fails, while abandoning the fan-out (a worker
     # crashing between here and there leaks the segment — see docs).  If
     # the reply cannot even be serialised, unlink now: the parent will
     # never see the manifest, so nobody else can clean the segment up.
@@ -433,81 +420,31 @@ def _shm_chunk_blob(
     return blob
 
 
-# ----------------------------------------------------------------------
-# dynamic-config execution (externally-owned persistent pools)
-# ----------------------------------------------------------------------
-#: ``(manifest, ((alias, real_prefix), ...), cache)`` — one store a
-#: dynamic chunk attaches.  ``cache=True`` marks a long-lived (pinned)
-#: segment the worker may keep attached across queries; ``cache=False``
-#: marks a per-query segment closed again when the chunk ends.
-StoreRef = Tuple[Manifest, Tuple[Tuple[str, str], ...], bool]
-
-#: ``(internal_name, grid_spec, store_refs | None, dedup)`` — the
-#: per-query configuration a dynamic chunk carries instead of relying on
-#: a pool initializer.  ``store_refs=None`` selects the pickle transport.
-PoolConfig = Tuple[str, Tuple, Optional[Tuple[StoreRef, ...]], str]
-
-#: Long-lived attachments by segment name (pinned dataset segments);
-#: lives in the worker process for the lifetime of the persistent pool.
-_DYN_ATTACHED: Dict[str, SharedColumnarStore] = {}
-
-
-def _dyn_store(
-    refs: Tuple[StoreRef, ...]
-) -> Tuple[Any, List[SharedColumnarStore]]:
-    """Assemble the chunk's store view from *refs*.
-
-    Returns ``(store, ephemeral)`` where *ephemeral* are the attachments
-    the caller must close when the chunk is done (per-query segments);
-    cached attachments stay mapped for the next query over the same
-    pinned dataset — that is the amortisation a persistent pool buys.
-    """
-    views: List[Any] = []
-    ephemeral: List[SharedColumnarStore] = []
-    for manifest, aliases, cache in refs:
-        name = manifest[0]
-        if cache:
-            attached = _DYN_ATTACHED.get(name)
-            if attached is None:
-                # Custody moves into the module-level cache: the segment
-                # stays mapped for the pool's lifetime by design.
-                attached = SharedColumnarStore.attach(manifest)  # repro-lint: disable=RPL004
-                _DYN_ATTACHED[name] = attached
-        else:
-            # Custody moves into the returned `ephemeral` list; the
-            # chunk runner closes every entry in its finally block.
-            attached = SharedColumnarStore.attach(manifest)  # repro-lint: disable=RPL004
-            ephemeral.append(attached)
-        views.append(
-            AliasedStore(attached, dict(aliases)) if aliases else attached
-        )
-    if len(views) == 1:
-        return views[0], ephemeral
-    return ChainedStore(views), ephemeral
-
-
-def _run_dyn_chunk(payload: bytes) -> bytes:
-    """Worker entry point for pools without a per-query initializer.
-
-    A persistent pool (``repro serve``) outlives any single query, so
-    per-query state cannot be installed by a pool initializer — it rides
-    along with every chunk instead: the payload is the pickled
-    ``(config, tasks)`` pair.  Grid rebuild is cheap; segment
-    attachments are cached by name (pinned datasets) or scoped to the
-    chunk (per-query id arrays), so repeated queries over registered
-    datasets touch the big columns without ever re-mapping them.
-    """
-    config, tasks = pickle.loads(payload)
-    internal_name, grid_spec, refs, dedup = config
-    grid = _grid_from_spec(grid_spec)
-    if refs is None:
-        return _chunk_blob(internal_name, grid, tasks, dedup)
-    store, ephemeral = _dyn_store(refs)
+def _decode_chunk(payload: bytes, blob: bytes) -> ChunkReport:
+    """Parent side of one chunk: decode its result segment, then unlink it."""
+    worker_pid, chunk_wall, metas, manifest = pickle.loads(blob)
+    results = SharedColumnarStore.attach(manifest)
     try:
-        return _shm_chunk_blob(internal_name, grid, store, tasks, dedup)
+        task_outcomes: List[TaskOutcome] = []
+        for pid, part, suppressed, counter_dict, task_wall in metas:
+            rid = results[f"{pid}.{part}.rid"].tolist()
+            sid = results[f"{pid}.{part}.sid"].tolist()
+            task_outcomes.append(
+                (pid, part, list(zip(rid, sid)), suppressed, counter_dict, task_wall)
+            )
     finally:
-        for attached in ephemeral:
-            attached.close()
+        results.close()
+        results.unlink()
+    return f"pid-{worker_pid}", chunk_wall, task_outcomes, len(payload) + len(blob)
+
+
+def _discard_chunk(blob: bytes) -> None:
+    """Unlink the result segment of a chunk whose fan-out was abandoned."""
+    results = SharedColumnarStore.attach(pickle.loads(blob)[3])
+    try:
+        results.close()
+    finally:
+        results.unlink()
 
 
 def _task_size(task: Tuple) -> int:
@@ -616,12 +553,13 @@ class ParallelPBSM:
 
     ``executor="simulated"`` runs sequentially and *models* the parallel
     runtime; ``executor="process"`` actually fans the join tasks out over
-    a process pool and ``executor="thread"`` over a thread pool (numpy
-    releases the GIL inside the vectorized kernel, so threads scale on
-    the ``sweep_numpy`` path with zero spawn or pickling cost).  All
-    executors produce identical result pairs in identical order, and all
-    report the same simulated costs — the real executors additionally
-    deliver wall-clock speedup on multicore hardware.
+    a process pool through shared memory and ``executor="thread"`` over
+    a thread pool (numpy releases the GIL inside the vectorized kernel,
+    so threads scale on the ``sweep_numpy`` path with zero spawn or
+    pickling cost).  All executors produce identical result pairs in
+    identical order, and all report the same simulated costs — the real
+    executors additionally deliver wall-clock speedup on multicore
+    hardware.
 
     ``scheduler`` selects the task-dispatch policy (``"stealing"``
     default, ``"static"`` for the classic up-front LPT chunking) and
@@ -630,11 +568,10 @@ class ParallelPBSM:
     ``"rpm"`` (per-pair reference-point test) or ``"twolayer"``
     (corner-class avoidance with zero per-pair work); the offline
     ``"sort"`` mode is rejected because it would serialise the join
-    behind a global sorting phase.  ``shared_memory=True`` switches the
-    process executor to the zero-copy transport; out-of-range worker
-    counts are clamped with a :class:`RuntimeWarning` (once per process
-    per distinct clamp) instead of raising or silently oversubscribing
-    the machine.
+    behind a global sorting phase.  Out-of-range worker counts are
+    clamped with a :class:`RuntimeWarning` (once per process per
+    distinct clamp) instead of raising or silently oversubscribing the
+    machine.
     """
 
     def __init__(
@@ -645,7 +582,6 @@ class ParallelPBSM:
         internal: str = "sweep_trie",
         executor: str = "simulated",
         scheduler: str = "stealing",
-        shared_memory: bool = False,
         dedup: str = "rpm",
         t_factor: float = 1.2,
         tiles_per_partition: int = 4,
@@ -672,12 +608,12 @@ class ParallelPBSM:
                 f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}"
             )
         if workers < 1:
-            _warn_clamp(f"workers={workers} is below 1; clamped to 1")
+            _warn_once(f"workers={workers} is below 1; clamped to 1")
             workers = 1
         if executor in ("process", "thread"):
             cap = _worker_cap()
             if workers > cap:
-                _warn_clamp(
+                _warn_once(
                     f"workers={workers} exceeds the usable CPU count ({cap}); "
                     f"clamped to {cap} (set {MAX_WORKERS_ENV} to allow "
                     "oversubscription)"
@@ -690,33 +626,32 @@ class ParallelPBSM:
         self.internal = internal_algorithm(internal)
         self.executor = executor
         self.scheduler = scheduler
-        self.shared_memory = shared_memory
         self.dedup = dedup
         self.t_factor = t_factor
         self.tiles_per_partition = tiles_per_partition
         self.cost_model = cost_model or CostModel()
         #: An externally-owned (persistent) process pool.  When set, the
-        #: fan-out submits dynamic-config chunks to it instead of
-        #: spawning a pool per run — the ``repro serve`` path, where the
-        #: pool outlives every query.  The caller owns its lifecycle.
+        #: fan-out submits its chunks to it instead of spawning a pool
+        #: per run — the ``repro serve`` path, where the pool outlives
+        #: every query.  The caller owns its lifecycle.
         self.pool = pool
         #: Manifests of pinned left/right dataset segments (columns under
-        #: the neutral ``D.*`` prefix).  With the shared-memory transport
-        #: and an external pool, the per-query segment then carries only
-        #: the CSR id arrays — the relation columns are never re-shipped.
+        #: the neutral ``D.*`` prefix).  The per-query segment then
+        #: carries only the CSR id arrays — the relation columns are
+        #: never re-shipped.
         self.pinned = pinned
 
     def run(self, left: Sequence[Tuple], right: Sequence[Tuple]) -> JoinResult:
-        # The zero-copy transport needs a real pool (workers > 1), the
-        # columnar backend, and working platform shared memory; anything
-        # else silently degrades to the pickle/in-process paths, which
-        # produce byte-identical output.
-        use_shm = (
-            self.shared_memory
-            and self.executor == "process"
-            and self.workers > 1
-            and shm_enabled()
-        )
+        # The process fan-out needs a real pool (workers > 1) and the
+        # shared-memory transport (numpy plus platform shared memory);
+        # without the transport the tasks run in-process, byte-identical.
+        process_pool = self.executor == "process" and self.workers > 1
+        use_shm = process_pool and shm_enabled()
+        if process_pool and not use_shm:
+            _warn_once(
+                "executor='process' needs numpy and POSIX shared memory "
+                "(and REPRO_DISABLE_SHM unset); the join tasks run in-process"
+            )
         # RPM stays untagged (the historical spelling); avoidance is
         # surfaced so reports and traces show which scheme owned pairs.
         dedup_tag = "" if self.dedup == "rpm" else ",2L"
@@ -839,12 +774,20 @@ class ParallelPBSM:
                     tasks = _split_tasks(tasks, self.workers)
 
                 # --- execute the tasks -------------------------------------
-                if use_shm:
+                # Besides the outcomes, each executor fills in the fan-out
+                # timing fields of *stats* (``join_makespan_seconds`` is
+                # the elapsed time observed here, in the parent).
+                if not tasks:
+                    outcomes: List[TaskOutcome] = []
+                elif use_shm:
                     outcomes = self._execute_shm(
                         tasks, grid, stats, left, right, ids_left, ids_right
                     )
+                elif self.executor == "thread" and self.workers > 1:
+                    outcomes = self._execute_thread(tasks, grid, stats)
                 else:
-                    outcomes = self._execute(tasks, grid, stats)
+                    outcomes = self._execute_inline(tasks, grid, stats)
+                stats.join_busy_seconds = sum(outcome[5] for outcome in outcomes)
 
                 # --- deterministic merge in (pid, part) order --------------
                 task_costs: List[float] = []
@@ -904,44 +847,30 @@ class ParallelPBSM:
     # ------------------------------------------------------------------
     # task execution
     # ------------------------------------------------------------------
-    def _execute(
+    def _execute_inline(
         self, tasks: List[JoinTask], grid: TileGrid, stats: JoinStats
     ) -> List[TaskOutcome]:
-        """Run every join task under the configured executor.
+        """Run every task in this process; no pool is spawned.
 
-        Besides the outcomes this fills in the parallel timing fields of
-        *stats*: ``join_busy_seconds`` (sum of per-task wall seconds, as
-        measured where the task ran) and ``join_makespan_seconds`` (the
-        fan-out elapsed time observed here, in the parent).
+        Simulated mode, ``workers=1`` and the process executor without
+        shared memory take this path.
         """
-        if not tasks:
-            return []
-        if self.executor == "process" and self.workers > 1:
-            outcomes = self._execute_process(tasks, grid, stats)
-        elif self.executor == "thread" and self.workers > 1:
-            outcomes = self._execute_thread(tasks, grid, stats)
-        else:
-            # Simulated mode and the workers=1 degenerate case share the
-            # in-process loop; no pool is spawned.
-            tracer = self.tracer
-            started = time.perf_counter()
-            outcomes = []
-            for task in tasks:
-                outcome = _run_join_task(
-                    self.internal_name, grid, task, self.dedup
+        tracer = self.tracer
+        started = time.perf_counter()
+        outcomes = []
+        for task in tasks:
+            outcome = _run_join_task(self.internal_name, grid, task, self.dedup)
+            outcomes.append(outcome)
+            if tracer.recording:
+                tracer.add_span(
+                    "task",
+                    outcome[5],
+                    kind=KIND_TASK,
+                    counters=outcome[4],
+                    pid=outcome[0],
+                    part=outcome[1],
                 )
-                outcomes.append(outcome)
-                if tracer.recording:
-                    tracer.add_span(
-                        "task",
-                        outcome[5],
-                        kind=KIND_TASK,
-                        counters=outcome[4],
-                        pid=outcome[0],
-                        part=outcome[1],
-                    )
-            stats.join_makespan_seconds = time.perf_counter() - started
-        stats.join_busy_seconds = sum(outcome[5] for outcome in outcomes)
+        stats.join_makespan_seconds = time.perf_counter() - started
         return outcomes
 
     def _drain(
@@ -949,36 +878,52 @@ class ParallelPBSM:
         pool: Any,
         run_fn: Callable[[Any], Any],
         payloads: Sequence[Any],
+        discard: Optional[Callable[[Any], None]] = None,
     ) -> List[Any]:
         """Run *payloads* on *pool*, honouring the configured scheduler.
 
-        ``static`` maps the pre-packed chunks over the pool up front.
+        ``static`` submits every pre-packed chunk up front.
         ``stealing`` keeps the (largest-first) payload queue in the
         parent and submits the head to whichever worker slot frees up
         first — completion-driven dispatch, the executor-level
         realisation of idle workers stealing the next-largest task.
         Results come back indexed by payload order either way.
+
+        If any unit raises, the queue is cancelled, every unit already
+        running is still collected, each result obtained so far goes to
+        *discard* (a finished process chunk owns a result segment only
+        the parent can unlink), and the original error is re-raised.
         """
-        if self.scheduler != "stealing":
-            return list(pool.map(run_fn, payloads))
         from concurrent.futures import FIRST_COMPLETED, wait
 
+        window = self.workers if self.scheduler == "stealing" else len(payloads)
         results: List[Any] = [None] * len(payloads)
         pending: Dict[Any, int] = {}
         next_idx = 0
-        while next_idx < len(payloads) and len(pending) < self.workers:
-            future = pool.submit(run_fn, payloads[next_idx])
-            pending[future] = next_idx
-            next_idx += 1
-        while pending:
-            done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            for future in done:
-                idx = pending.pop(future)
-                results[idx] = future.result()
-                if next_idx < len(payloads):
-                    queued = pool.submit(run_fn, payloads[next_idx])
-                    pending[queued] = next_idx
+        try:
+            while pending or next_idx < len(payloads):
+                while next_idx < len(payloads) and len(pending) < window:
+                    pending[pool.submit(run_fn, payloads[next_idx])] = next_idx
                     next_idx += 1
+                done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
+                for future in done:
+                    # result() raises before the del: a failed unit stays
+                    # pending, so the cleanup below skips it.
+                    results[pending[future]] = future.result()
+                    del pending[future]
+        except BaseException:
+            for future in pending:
+                future.cancel()
+            wait(set(pending))
+            if discard is not None:
+                leftovers = [r for r in results if r is not None] + [
+                    future.result()
+                    for future in pending
+                    if not future.cancelled() and future.exception() is None
+                ]
+                for result in leftovers:
+                    discard(result)
+            raise
         return results
 
     def _units(self, tasks: List) -> List[List]:
@@ -987,6 +932,46 @@ class ParallelPBSM:
             return _steal_units(tasks, self.workers)
         n_chunks = min(len(tasks), self.workers * CHUNKS_PER_WORKER)
         return _chunk_tasks(tasks, n_chunks)
+
+    def _fan_out(
+        self,
+        pool_cm: Any,
+        run_fn: Callable[[Any], Any],
+        payloads: Sequence[Any],
+        units: List[List],
+        stats: JoinStats,
+        report: Callable[[Any, Any], ChunkReport],
+        discard: Optional[Callable[[Any], None]] = None,
+    ) -> Tuple[List[TaskOutcome], float]:
+        """Drain one fan-out and book it: the thread and process paths.
+
+        ``pool_cm`` is a context manager yielding the pool — a fresh
+        executor, shut down on exit, or ``nullcontext`` around an
+        externally owned one; the makespan covers its whole lifetime.
+        ``report(payload, result)`` turns one unit's raw result into a
+        :data:`ChunkReport`.  Fills ``join_makespan_seconds``,
+        ``ipc_bytes_shipped``, ``tasks_stolen`` and the per-worker
+        reports and spans; returns the task outcomes and the seconds
+        ``report`` took (parent-side decoding, for the process path).
+        """
+        started = time.perf_counter()
+        with pool_cm as pool:
+            results = self._drain(pool, run_fn, payloads, discard)
+        stats.join_makespan_seconds = time.perf_counter() - started
+
+        decode_started = time.perf_counter()
+        chunk_reports = [
+            report(payload, result) for payload, result in zip(payloads, results)
+        ]
+        decode_seconds = time.perf_counter() - decode_started
+        stats.ipc_bytes_shipped = sum(rep[3] for rep in chunk_reports)
+        if self.scheduler == "stealing":
+            stats.tasks_stolen = count_steals(
+                _unit_sizes(units), [rep[0] for rep in chunk_reports], self.workers
+            )
+        self._emit_pool_spans(stats, chunk_reports)
+        outcomes = [outcome for rep in chunk_reports for outcome in rep[2]]
+        return outcomes, decode_seconds
 
     def _emit_pool_spans(
         self,
@@ -1038,84 +1023,6 @@ class ParallelPBSM:
             - sum(busy_by_worker.values()),
         )
 
-    def _execute_process(
-        self, tasks: List[JoinTask], grid: TileGrid, stats: JoinStats
-    ) -> List[TaskOutcome]:
-        """Fan the tasks out over a process pool via the pickle transport.
-
-        The parent pre-pickles every chunk payload and unpickles every
-        result blob itself, so ``stats.ipc_bytes_shipped`` counts the
-        exact bytes crossing the pool (re-pickling a ``bytes`` payload is
-        a memcpy) and ``stats.ipc_seconds`` is the measured
-        serialisation time the transport costs on top of the join work.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = self._units(tasks)
-        encode_started = time.perf_counter()
-        if self.pool is not None:
-            config: PoolConfig = (
-                self.internal_name,
-                _grid_spec(grid),
-                None,
-                self.dedup,
-            )
-            payloads = [
-                pickle.dumps((config, chunk), pickle.HIGHEST_PROTOCOL)
-                for chunk in chunks
-            ]
-        else:
-            payloads = [
-                pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL) for chunk in chunks
-            ]
-        ipc_seconds = time.perf_counter() - encode_started
-        bytes_shipped = sum(len(p) for p in payloads)
-
-        started = time.perf_counter()
-        if self.pool is not None:
-            # Persistent pool: no spawn, no initializer — the config
-            # rides inside each chunk payload instead.
-            blobs = cast(
-                List[bytes], self._drain(self.pool, _run_dyn_chunk, payloads)
-            )
-        else:
-            with ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_pool_init,
-                initargs=(self.internal_name, _grid_spec(grid), None, self.dedup),
-            ) as pool:
-                blobs = cast(
-                    List[bytes], self._drain(pool, _run_chunk, payloads)
-                )
-        stats.join_makespan_seconds = time.perf_counter() - started
-
-        decode_started = time.perf_counter()
-        outcomes: List[TaskOutcome] = []
-        chunk_reports: List[ChunkReport] = []
-        executed_by: List[str] = []
-        for payload, blob in zip(payloads, blobs):
-            worker_pid, chunk_wall, task_outcomes = pickle.loads(blob)
-            bytes_shipped += len(blob)
-            outcomes.extend(task_outcomes)
-            executed_by.append(f"pid-{worker_pid}")
-            chunk_reports.append(
-                (
-                    f"pid-{worker_pid}",
-                    chunk_wall,
-                    task_outcomes,
-                    len(payload) + len(blob),
-                )
-            )
-        ipc_seconds += time.perf_counter() - decode_started
-        stats.ipc_bytes_shipped = bytes_shipped
-        stats.ipc_seconds = ipc_seconds
-        if self.scheduler == "stealing":
-            stats.tasks_stolen = count_steals(
-                _unit_sizes(chunks), executed_by, self.workers
-            )
-        self._emit_pool_spans(stats, chunk_reports)
-        return outcomes
-
     def _execute_thread(
         self, tasks: List[JoinTask], grid: TileGrid, stats: JoinStats
     ) -> List[TaskOutcome]:
@@ -1142,30 +1049,19 @@ class ParallelPBSM:
             wall = time.perf_counter() - unit_started
             return threading.current_thread().name, wall, unit_outcomes
 
-        started = time.perf_counter()
-        with ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-join"
-        ) as pool:
-            reports = cast(
-                List[Tuple[str, float, List[TaskOutcome]]],
-                self._drain(pool, run_unit, units),
-            )
-        stats.join_makespan_seconds = time.perf_counter() - started
-
-        outcomes: List[TaskOutcome] = []
-        chunk_reports: List[ChunkReport] = []
         labels: Dict[str, str] = {}
-        executed_by: List[str] = []
-        for thread_name, unit_wall, unit_outcomes in reports:
+
+        def report(
+            _unit: Any, result: Tuple[str, float, List[TaskOutcome]]
+        ) -> ChunkReport:
+            thread_name, unit_wall, unit_outcomes = result
             label = labels.setdefault(thread_name, f"thread-{len(labels)}")
-            outcomes.extend(unit_outcomes)
-            executed_by.append(label)
-            chunk_reports.append((label, unit_wall, unit_outcomes, 0))
-        if self.scheduler == "stealing":
-            stats.tasks_stolen = count_steals(
-                _unit_sizes(units), executed_by, self.workers
-            )
-        self._emit_pool_spans(stats, chunk_reports)
+            return label, unit_wall, unit_outcomes, 0
+
+        pool = ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="repro-join"
+        )
+        outcomes, _ = self._fan_out(pool, run_unit, units, units, stats, report)
         return outcomes
 
     def _execute_shm(
@@ -1178,39 +1074,35 @@ class ParallelPBSM:
         ids_left: List[int],
         ids_right: List[int],
     ) -> List[TaskOutcome]:
-        """Fan the tasks out via the zero-copy shared-memory transport.
+        """Fan the tasks out over a process pool via shared memory.
 
         Loads both inputs once into a columnar segment (plus the CSR id
         arrays the partitioner emitted), ships five-integer tasks (seven
-        with a stripe part), and decodes worker-returned ``(rid, sid)``
-        id buffers in ``(pid, part)`` order — so the merged output is
-        byte-identical to the pickle transport and to sequential
+        with a stripe part) with the per-query config, and decodes
+        worker-returned ``(rid, sid)`` id buffers in ``(pid, part)``
+        order — so the merged output is byte-identical to sequential
         execution.  Segment build, payload encode and result decode all
         count into ``stats.ipc_seconds``; only the pipe traffic counts
         into ``stats.ipc_bytes_shipped``.
         """
         from concurrent.futures import ProcessPoolExecutor
 
-        if not tasks:
-            return []
         np = require_numpy()
-        stats.join_busy_seconds = 0.0
-
         encode_started = time.perf_counter()
         from repro.kernels.columnar import ColumnarRelation
 
-        pinned_refs: List[StoreRef] = []
+        refs: Tuple[StoreRef, ...] = ()
         arrays: Dict[str, object] = {}
-        if self.pool is not None and self.pinned is not None:
+        if self.pinned is not None:
             # The relation columns already live in pinned registry
             # segments; the per-query segment carries only the CSR id
             # arrays, so a query's segment-build cost is O(partitioned
             # ids), not O(data).
             l_manifest, r_manifest = self.pinned
-            pinned_refs = [
+            refs = (
                 (l_manifest, (("L", "D"),), True),
                 (r_manifest, (("R", "D"),), True),
-            ]
+            )
         else:
             arrays = columnar_arrays("L", ColumnarRelation.from_kpes(left))
             arrays.update(
@@ -1218,98 +1110,35 @@ class ParallelPBSM:
             )
         arrays["L.ids"] = np.asarray(ids_left, dtype=np.int64)
         arrays["R.ids"] = np.asarray(ids_right, dtype=np.int64)
-        chunks = self._units(tasks)
+        units = self._units(tasks)
 
         with SharedColumnarStore.create(arrays) as store:
-            if self.pool is not None:
-                config: PoolConfig = (
-                    self.internal_name,
-                    _grid_spec(grid),
-                    tuple(pinned_refs) + ((store.manifest, (), False),),
-                    self.dedup,
-                )
-                payloads = [
-                    pickle.dumps((config, chunk), pickle.HIGHEST_PROTOCOL)
-                    for chunk in chunks
-                ]
-            else:
-                payloads = [
-                    pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL)
-                    for chunk in chunks
-                ]
-            bytes_shipped = sum(len(p) for p in payloads)
-            ipc_seconds = time.perf_counter() - encode_started
-            started = time.perf_counter()
-            if self.pool is not None:
-                blobs = cast(
-                    List[bytes],
-                    self._drain(self.pool, _run_dyn_chunk, payloads),
-                )
-            else:
-                with ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_pool_init,
-                    initargs=(
-                        self.internal_name,
-                        _grid_spec(grid),
-                        store.manifest,
-                        self.dedup,
-                    ),
-                ) as pool:
-                    blobs = cast(
-                        List[bytes], self._drain(pool, _run_shm_chunk, payloads)
-                    )
-            stats.join_makespan_seconds = time.perf_counter() - started
-
-            decode_started = time.perf_counter()
-            outcomes: List[TaskOutcome] = []
-            chunk_reports: List[ChunkReport] = []
-            executed_by: List[str] = []
-            for payload, blob in zip(payloads, blobs):
-                worker_pid, chunk_wall, metas, manifest = pickle.loads(blob)
-                bytes_shipped += len(blob)
-                results = SharedColumnarStore.attach(manifest)
-                try:
-                    task_outcomes: List[TaskOutcome] = []
-                    for pid, part, suppressed, counter_dict, task_wall in metas:
-                        task_pairs = list(
-                            zip(
-                                results[f"{pid}.{part}.rid"].tolist(),
-                                results[f"{pid}.{part}.sid"].tolist(),
-                            )
-                        )
-                        task_outcomes.append(
-                            (
-                                pid,
-                                part,
-                                task_pairs,
-                                suppressed,
-                                counter_dict,
-                                task_wall,
-                            )
-                        )
-                finally:
-                    results.close()
-                    results.unlink()
-                outcomes.extend(task_outcomes)
-                executed_by.append(f"pid-{worker_pid}")
-                chunk_reports.append(
-                    (
-                        f"pid-{worker_pid}",
-                        chunk_wall,
-                        task_outcomes,
-                        len(payload) + len(blob),
-                    )
-                )
-            ipc_seconds += time.perf_counter() - decode_started
-        stats.ipc_bytes_shipped = bytes_shipped
-        stats.ipc_seconds = ipc_seconds
-        stats.join_busy_seconds = sum(outcome[5] for outcome in outcomes)
-        if self.scheduler == "stealing":
-            stats.tasks_stolen = count_steals(
-                _unit_sizes(chunks), executed_by, self.workers
+            config: PoolConfig = (
+                self.internal_name,
+                _grid_spec(grid),
+                refs + ((store.manifest, (), False),),
+                self.dedup,
             )
-        self._emit_pool_spans(stats, chunk_reports)
+            payloads = [
+                pickle.dumps((config, unit), pickle.HIGHEST_PROTOCOL)
+                for unit in units
+            ]
+            encode_seconds = time.perf_counter() - encode_started
+            pool_cm = (
+                nullcontext(self.pool)
+                if self.pool is not None
+                else ProcessPoolExecutor(max_workers=self.workers)
+            )
+            outcomes, decode_seconds = self._fan_out(
+                pool_cm,
+                _run_pool_chunk,
+                payloads,
+                units,
+                stats,
+                _decode_chunk,
+                _discard_chunk,
+            )
+        stats.ipc_seconds = encode_seconds + decode_seconds
         return outcomes
 
 

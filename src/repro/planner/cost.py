@@ -60,12 +60,9 @@ _TREE_INSERT_FACTOR = 1.4
 #: Mild residual skew after hashing tiles_per_partition tiles per partition.
 _SKEW_DAMPING = 0.5
 
-#: Measured pickle sizes for the legacy process transport: one KPE tuple
-#: inside a record list, and one (rid, sid) pair inside a result list.
-PICKLED_KPE_BYTES = 46.0
-PICKLED_PAIR_BYTES = 12.0
-#: Shared-memory transport per-task pipe traffic: a five-integer task
-#: tuple out, its share of per-chunk metadata and manifest back.
+#: Process-pool per-task pipe traffic (the shared-memory transport): a
+#: five-integer task tuple out, its share of per-chunk config, metadata
+#: and manifests.
 SHM_TASK_BYTES = 64.0
 SHM_CHUNK_OVERHEAD_BYTES = 512.0
 
@@ -295,7 +292,6 @@ def estimate_pbsm(
     dedup: str = "rpm",
     tiles_per_partition: int = 4,
     workers: int = 1,
-    shared_memory: bool = False,
     executor: str = "process",
     scheduler: str = "stealing",
 ) -> CostEstimate:
@@ -306,9 +302,8 @@ def estimate_pbsm(
     joins and RPM tests shrink to the *makespan fraction* — the larger of
     the ideal ``1/speedup`` and the biggest task's share of the join work
     (skew: one mega-partition bounds the makespan no matter how the rest
-    is packed) — and an ``ipc`` term charges the transport: pickled
-    records and pair lists for the legacy transport, task tuples plus
-    manifests when ``shared_memory`` is on.
+    is packed) — and an ``ipc`` term charges the process pool's
+    shared-memory transport: task tuples plus manifests.
 
     ``executor`` and ``scheduler`` refine the model: the thread executor
     pays no spawn and no IPC but its speedup is Amdahl-bounded by
@@ -477,15 +472,11 @@ def estimate_pbsm(
             schedule_seconds += cost.pool_spawn_seconds * workers
         if executor == "thread":
             ipc_bytes = 0.0
-        elif shared_memory:
+        else:
             n_chunks = min(n_partitions, workers * 4)
             ipc_bytes = (
                 SHM_TASK_BYTES * n_partitions
                 + SHM_CHUNK_OVERHEAD_BYTES * n_chunks
-            )
-        else:
-            ipc_bytes = (nl_part + nr_part) * PICKLED_KPE_BYTES + (
-                jp.est_results * PICKLED_PAIR_BYTES
             )
         ipc_seconds = cost.ipc_seconds_for(ipc_bytes)
 

@@ -70,7 +70,6 @@ class PlanCandidate:
                 "internal": "internal",
                 "t_factor": "t",
                 "strategy": "strategy",
-                "shared_memory": "shm",
                 "executor": "exec",
                 "scheduler": "sched",
             }.get(key, key)
@@ -90,12 +89,11 @@ def enumerate_candidates(
 
     ``methods`` restricts the enumerated join methods (default: all of
     them); candidates are returned sorted by estimated total cost.  With
-    ``workers > 1`` parallel PBSM configurations join the space — the
-    cross product of transport (legacy pickle, and zero-copy shared
-    memory where available), executor (process, and thread when the
-    columnar backend is on) and scheduler (static LPT vs work stealing),
-    so transport, executor and scheduler are all costed decisions, not
-    hardcoded preferences.
+    ``workers > 1`` parallel PBSM configurations join the space: the
+    process executor under both schedulers (static LPT vs work stealing)
+    where its shared-memory transport is available, and the thread
+    executor when the columnar backend is on, so executor and scheduler
+    are costed decisions, not hardcoded preferences.
     """
     cost = cost_model or CostModel()
     wanted = set(methods) if methods is not None else None
@@ -141,34 +139,28 @@ def enumerate_candidates(
         if workers > 1:
             from repro.kernels.shm import shm_enabled
 
-            par_internal = (
-                PBSM_KERNEL_INTERNAL if numpy_enabled() else "sweep_trie"
-            )
-            transports = [False] + ([True] if shm_enabled() else [])
-            # executor x scheduler: the process executor on both
-            # transports and both schedulers, plus the thread executor
-            # (stealing only — its whole point is skipping spawn and
-            # pickling, and the static baseline adds nothing there that
-            # process/static does not already cover).
-            configs: List[Tuple[str, str, bool]] = []
-            for shared in transports:
-                for scheduler in ("static", "stealing"):
-                    configs.append(("process", scheduler, shared))
+            # executor x scheduler: the process executor under both
+            # schedulers (without shared memory it would run in-process),
+            # plus the thread executor (stealing only — its whole point
+            # is skipping spawn and pickling, and the static baseline
+            # adds nothing there that process/static does not cover).
+            # Both need numpy, so the parallel internal is the kernel.
+            configs: List[Tuple[str, str]] = []
+            if shm_enabled():
+                configs += [("process", "static"), ("process", "stealing")]
             if numpy_enabled():
-                configs.append(("thread", "stealing", False))
-            for executor, scheduler, shared in configs:
+                configs.append(("thread", "stealing"))
+            for executor, scheduler in configs:
                 for t in t_grid:
                     for dedup in ("rpm", "twolayer"):
                         kwargs = {
-                            "internal": par_internal,
+                            "internal": PBSM_KERNEL_INTERNAL,
                             "t_factor": t,
                             "workers": workers,
                             "executor": executor,
                             "scheduler": scheduler,
                             "dedup": dedup,
                         }
-                        if shared:
-                            kwargs["shared_memory"] = True
                         candidates.append(
                             PlanCandidate(
                                 "pbsm",
@@ -177,11 +169,10 @@ def enumerate_candidates(
                                     jp,
                                     memory_bytes,
                                     cost,
-                                    internal=par_internal,
+                                    internal=PBSM_KERNEL_INTERNAL,
                                     t_factor=t,
                                     dedup=dedup,
                                     workers=workers,
-                                    shared_memory=shared,
                                     executor=executor,
                                     scheduler=scheduler,
                                 ),

@@ -250,7 +250,7 @@ def plan_join(
     is traced as one ``plan`` span (with ``profile`` and ``enumerate``
     child sections on a fresh enumeration); ``planning_seconds`` is that
     span's wall time.  ``workers > 1`` adds parallel PBSM candidates
-    (both transports) to the enumeration.
+    (process and thread executors) to the enumeration.
     """
     if memory_bytes <= 0:
         raise ValueError("memory_bytes must be positive")

@@ -134,9 +134,8 @@ class EngineHost:
 
         Sequential plans run through ``JoinPlan.execute`` unchanged.  A
         parallel *process* PBSM plan is rebuilt with ``pool=`` (no spawn)
-        and — when the chosen transport is shared memory and both
-        datasets are pinned — with ``pinned=`` manifests, so the
-        per-query segment carries only CSR id arrays.  A *thread* plan
+        and — when both datasets are pinned — with ``pinned=`` manifests,
+        so the per-query segment carries only CSR id arrays.  A *thread* plan
         runs in-host: its whole point is skipping the process boundary,
         so it takes neither the pool nor pinned manifests.
         """
@@ -151,11 +150,7 @@ class EngineHost:
             workers = kwargs.pop("workers")
             kwargs.setdefault("executor", "process")
             pinned: Optional[Tuple[Any, Any]] = None
-            if (
-                kwargs.get("shared_memory")
-                and left.manifest is not None
-                and right.manifest is not None
-            ):
+            if left.manifest is not None and right.manifest is not None:
                 pinned = (left.manifest, right.manifest)
             driver = ParallelPBSM(
                 plan.memory_bytes,

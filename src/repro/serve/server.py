@@ -32,6 +32,7 @@ startup, so a SIGKILLed server never leaks segments past the next start.
 from __future__ import annotations
 
 import asyncio
+import math
 import os
 import signal
 import time
@@ -373,6 +374,31 @@ class JoinServer:
     # ------------------------------------------------------------------
     # the join op
     # ------------------------------------------------------------------
+    def _join_limits(self, message: dict) -> Tuple[int, int]:
+        """The validated ``(memory_bytes, page_size)`` of a join request.
+
+        Checked before admission, so a bad value costs a ``bad_request``
+        reply instead of the connection (or a join that runs for nothing).
+        """
+        memory_bytes = self.engine.memory_bytes
+        if "memory_mb" in message:
+            raw = message["memory_mb"]
+            try:
+                memory_mb = float(raw)
+            except (TypeError, ValueError):
+                memory_mb = math.nan
+            if isinstance(raw, bool) or not math.isfinite(memory_mb) or mb(memory_mb) <= 0:
+                raise ValueError(f"memory_mb must be a finite number > 0, got {raw!r}")
+            memory_bytes = mb(memory_mb)
+        raw = message.get("page_size", self.page_size)
+        try:
+            page_size = int(raw)
+        except (TypeError, ValueError):
+            page_size = 0
+        if isinstance(raw, (bool, float)) or page_size < 1:
+            raise ValueError(f"page_size must be an integer >= 1, got {raw!r}")
+        return memory_bytes, page_size
+
     async def _op_join(self, message: dict, writer: asyncio.StreamWriter) -> None:
         self._query_seq += 1
         query_id = self._query_seq
@@ -380,21 +406,16 @@ class JoinServer:
         try:
             left = self.registry.get(str(message.get("left")))
             right = self.registry.get(str(message.get("right")))
-        except KeyError as exc:
+            memory_bytes, page_size = self._join_limits(message)
+        except (KeyError, ValueError) as exc:
             self._queries_error += 1
             self.metrics.inc("repro_serve_queries_total", 1, status="error")
+            code = "unknown_dataset" if isinstance(exc, KeyError) else "bad_request"
             await self._send(
-                writer,
-                error_response("unknown_dataset", str(exc), query_id=query_id),
+                writer, error_response(code, str(exc), query_id=query_id)
             )
             return
-        memory_bytes = (
-            mb(float(message["memory_mb"]))
-            if "memory_mb" in message
-            else self.engine.memory_bytes
-        )
         include_pairs = bool(message.get("include_pairs", False))
-        page_size = int(message.get("page_size", self.page_size))
         tracer = Tracer()
 
         try:

@@ -183,7 +183,7 @@ class TestJoin:
         "extra",
         [
             ["--scheduler", "stealing"],
-            ["--shm"],
+            ["--executor", "thread"],
         ],
     )
     def test_dedup_sort_fails_fast_with_any_parallel_flag(

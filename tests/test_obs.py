@@ -18,6 +18,7 @@ from repro.core.phases import ALL_PHASES, PHASE_JOIN, PHASE_PARTITION
 from repro.core.report import format_stats, stats_to_dict
 from repro.core.stats import CpuCounters
 from repro.io.costmodel import mb
+from repro.kernels.shm import shm_enabled
 from repro.obs import (
     KIND_PHASE,
     KIND_PLAN,
@@ -43,6 +44,12 @@ from repro.shj import SpatialHashJoin
 from repro.sssj import SSSJ
 
 from tests.conftest import random_kpes
+
+#: The process pool runs only over the shared-memory transport; without
+#: it ``executor="process"`` runs in-process and emits no worker spans.
+needs_shm = pytest.mark.skipif(
+    not shm_enabled(), reason="process pool needs numpy and platform shared memory"
+)
 
 
 # ----------------------------------------------------------------------
@@ -361,6 +368,7 @@ class TestParallelTiming:
             stats.join_busy_seconds
         )
 
+    @needs_shm
     def test_process_mode_emits_worker_spans(self):
         workers = 2
         left = random_kpes(600, seed=31, max_edge=0.05)
@@ -396,6 +404,7 @@ class TestParallelTiming:
         )
         assert set(result.pairs) == set(sequential.pairs)
 
+    @needs_shm
     def test_process_mode_untraced_still_accounts_time(self):
         left = random_kpes(300, seed=33, max_edge=0.05)
         right = random_kpes(300, seed=34, start_oid=10_000, max_edge=0.05)
@@ -525,6 +534,7 @@ class TestTraceCli:
         assert self.run_cli("trace", str(bad)) == 1
         assert "invalid trace" in capsys.readouterr().err
 
+    @needs_shm
     def test_workers_trace_has_worker_spans(self, relations, tmp_path, capsys):
         lp, rp = relations
         trace_path = tmp_path / "tw.jsonl"

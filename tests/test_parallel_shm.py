@@ -1,18 +1,25 @@
-"""The zero-copy shared-memory transport of ParallelPBSM.
+"""The zero-copy shared-memory transport of ParallelPBSM's process pool.
 
-Three claims are pinned here: (1) the shm executor's output is
-byte-identical to both the simulated executor and the legacy pickle
-transport, with identical simulated costs and counters; (2) the pipe
-traffic collapses — task tuples and manifests instead of pickled record
-lists — by well over the 10x the benchmarks demand; (3) every rung of
-the degradation ladder (``workers=1``, ``REPRO_DISABLE_SHM``, numpy
-gated off or absent) lands on a byte-identical fallback.  The store and
-CSR plumbing get their own unit tests.  Everything numpy-dependent
-skips cleanly, so the no-numpy CI job runs this file too and exercises
-the missing-numpy degrade for real.
+Four claims are pinned here: (1) the process executor's output is
+byte-identical to the in-process and thread executors — through a pool
+spawned per run, an external ``pool=`` and an external pool with
+``pinned=`` dataset segments, for both online dedup modes — with
+identical simulated costs and counters; (2) the pipe traffic is task
+tuples and manifests, far below the record lists it replaces; (3) a
+failing chunk propagates its error and leaks no result segment; (4)
+every rung of the degradation ladder (``workers=1``,
+``REPRO_DISABLE_SHM``, numpy gated off or absent) lands on a
+byte-identical in-process fallback.  The store and CSR plumbing get
+their own unit tests.  Everything numpy-dependent skips cleanly, so the
+no-numpy CI job runs this file too and exercises the missing-numpy
+degrade for real.
 """
 
+import multiprocessing
+import os
 import pickle
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -39,15 +46,18 @@ RIGHT = random_kpes(1200, seed=72, start_oid=10**6, max_edge=0.03)
 MEMORY = mb(0.05)
 
 
-def run(workers, *, executor="process", shared_memory=False, internal="sweep_numpy"):
+def run(workers, *, executor="process", internal="sweep_numpy", **kwargs):
     join = ParallelPBSM(
-        MEMORY,
-        workers,
-        internal=internal,
-        executor=executor,
-        shared_memory=shared_memory,
+        MEMORY, workers, internal=internal, executor=executor, **kwargs
     )
     return join.run(LEFT, RIGHT)
+
+
+def repro_segments():
+    """Names of this package's shared-memory segments currently on the box."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {n for n in os.listdir("/dev/shm") if n.startswith("repro_shm_")}
 
 
 # ----------------------------------------------------------------------
@@ -149,40 +159,33 @@ class TestShmExecutorParity:
     @pytest.mark.parametrize("internal", ["sweep_numpy", "sweep_trie"])
     def test_byte_identical_across_executors(self, internal):
         sim = run(2, executor="simulated", internal=internal)
-        pick = run(2, internal=internal)
-        shm = run(2, shared_memory=True, internal=internal)
+        shm = run(2, internal=internal)
+        assert shm.stats.shared_memory
         assert shm.pairs == sim.pairs  # same pairs, same order
-        assert shm.pairs == pick.pairs
         assert shm.stats.duplicates_suppressed == sim.stats.duplicates_suppressed
         assert shm.stats.cpu_by_phase == sim.stats.cpu_by_phase
         assert shm.stats.io_units_by_phase == sim.stats.io_units_by_phase
         assert shm.stats.sim_seconds == pytest.approx(sim.stats.sim_seconds)
 
     def test_shm_ships_far_fewer_bytes(self):
-        pick = run(2)
-        shm = run(2, shared_memory=True)
-        assert shm.stats.shared_memory and not pick.stats.shared_memory
-        assert pick.stats.ipc_bytes_shipped > 0
+        # Every record crosses into some task, so the pickled inputs are
+        # a floor on what shipping record lists would cost.
+        shm = run(2)
+        records_bytes = len(pickle.dumps(LEFT)) + len(pickle.dumps(RIGHT))
+        assert shm.stats.shared_memory
         assert shm.stats.ipc_bytes_shipped > 0
-        assert (
-            pick.stats.ipc_bytes_shipped
-            >= 10 * shm.stats.ipc_bytes_shipped
-        )
+        assert records_bytes >= 10 * shm.stats.ipc_bytes_shipped
 
     def test_self_join_byte_identical(self):
         sim = ParallelPBSM(MEMORY, 2, internal="sweep_numpy").run(LEFT, LEFT)
         shm = ParallelPBSM(
-            MEMORY,
-            2,
-            internal="sweep_numpy",
-            executor="process",
-            shared_memory=True,
+            MEMORY, 2, internal="sweep_numpy", executor="process"
         ).run(LEFT, LEFT)
         assert shm.pairs == sim.pairs
 
     def test_workers_1_spawns_no_pool_or_segment(self):
-        one = run(1, shared_memory=True)
-        two = run(2, shared_memory=True)
+        one = run(1)
+        two = run(2)
         # Degenerate case: in-process loop, no pool, no segments, no IPC.
         assert not one.stats.shared_memory
         assert one.stats.ipc_bytes_shipped == 0
@@ -191,28 +194,114 @@ class TestShmExecutorParity:
 
 
 # ----------------------------------------------------------------------
+# one process path: spawned pool, external pool, external pool + pins
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def external_pool():
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        yield pool
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs():
+    """LEFT and RIGHT pinned the way the serve registry pins datasets."""
+    from repro.kernels.columnar import ColumnarRelation
+
+    with SharedColumnarStore.create(
+        columnar_arrays("D", ColumnarRelation.from_kpes(LEFT))
+    ) as left, SharedColumnarStore.create(
+        columnar_arrays("D", ColumnarRelation.from_kpes(RIGHT))
+    ) as right:
+        yield left.manifest, right.manifest
+
+
+@needs_shm
+class TestExecutionPathMatrix:
+    @pytest.fixture(scope="class", params=["rpm", "twolayer"])
+    def in_process(self, request):
+        return request.param, run(2, executor="simulated", dedup=request.param)
+
+    @pytest.mark.parametrize(
+        "path", ["thread", "spawned", "external", "external-pinned"]
+    )
+    def test_byte_identical(self, in_process, path, external_pool, pinned_inputs):
+        dedup, reference = in_process
+        kwargs = {"executor": "thread"} if path == "thread" else {}
+        if path.startswith("external"):
+            kwargs["pool"] = external_pool
+        if path == "external-pinned":
+            kwargs["pinned"] = pinned_inputs
+        result = run(2, dedup=dedup, **kwargs)
+        assert result.stats.shared_memory == (path != "thread")
+        assert result.pairs == reference.pairs  # same pairs, same order
+        assert result.stats.cpu_by_phase == reference.stats.cpu_by_phase
+        assert result.stats.sim_seconds == pytest.approx(
+            reference.stats.sim_seconds
+        )
+
+
+@needs_shm
+class TestChunkFailure:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers must inherit the patched kernel",
+    )
+    @pytest.mark.parametrize("external", [False, True], ids=["spawned", "external"])
+    def test_failing_chunk_leaks_no_result_segment(self, monkeypatch, external):
+        import repro.pbsm.parallel as parallel
+
+        real = parallel.rpm_join_ids
+
+        def failing(a, b, grid, pid, *args, **kwargs):
+            if pid == 0:
+                raise RuntimeError("injected kernel failure")
+            return real(a, b, grid, pid, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "rpm_join_ids", failing)
+        before = repro_segments()
+        # The pool is created after the patch, so its forked workers
+        # run the failing kernel too.
+        pool = ProcessPoolExecutor(max_workers=2) if external else None
+        try:
+            with pytest.raises(RuntimeError, match="injected kernel failure"):
+                run(2, pool=pool)
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        assert repro_segments() - before == set()
+
+
+# ----------------------------------------------------------------------
 # degradation ladder
 # ----------------------------------------------------------------------
 class TestDegradation:
-    def test_disable_env_falls_back_to_pickle(self, monkeypatch):
-        # Works with or without numpy: the request degrades, the result
-        # must match the simulated executor bit for bit.
+    def test_disable_env_runs_in_process(self, monkeypatch):
+        # Works with or without numpy: the process executor degrades to
+        # the in-process loop, warns once per process, and must match
+        # the simulated executor bit for bit.
         monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
         assert not shm_enabled()
         internal = "sweep_numpy" if numpy_enabled() else "sweep_trie"
         sim = run(2, executor="simulated", internal=internal)
-        degraded = run(2, shared_memory=True, internal=internal)
-        assert degraded.pairs == sim.pairs
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            degraded = run(2, internal=internal)
+            again = run(2, internal=internal)
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert "in-process" in str(runtime[0].message)
+        assert degraded.pairs == sim.pairs == again.pairs
         assert not degraded.stats.shared_memory
-        if numpy_enabled():
-            assert degraded.stats.ipc_bytes_shipped > 0  # pickle transport ran
+        assert degraded.stats.ipc_bytes_shipped == 0
+        assert degraded.stats.worker_busy_seconds == {}
 
     @needs_numpy
     def test_numpy_gate_closes_shm(self):
         with python_backend():
             assert not shm_enabled()
             sim = run(2, executor="simulated", internal="sweep_trie")
-            degraded = run(2, shared_memory=True, internal="sweep_trie")
+            with pytest.warns(RuntimeWarning, match="in-process"):
+                degraded = run(2, internal="sweep_trie")
         assert degraded.pairs == sim.pairs
         assert not degraded.stats.shared_memory
 
@@ -222,7 +311,8 @@ class TestDegradation:
         if not numpy_enabled():
             assert not shm_enabled()
             sim = run(2, executor="simulated", internal="sweep_trie")
-            degraded = run(2, shared_memory=True, internal="sweep_trie")
+            with pytest.warns(RuntimeWarning, match="in-process"):
+                degraded = run(2, internal="sweep_trie")
             assert degraded.pairs == sim.pairs
             assert not degraded.stats.shared_memory
 
@@ -241,18 +331,21 @@ class TestApi:
     def test_spatial_join_shared_memory(self):
         from repro import spatial_join
 
+        # The flag is accepted for compatibility and changes nothing.
         plain = spatial_join(LEFT, RIGHT, MEMORY, workers=2)
         shm = spatial_join(LEFT, RIGHT, MEMORY, workers=2, shared_memory=True)
         assert shm.pairs == plain.pairs
-        assert shm.stats.shared_memory
+        assert shm.stats.shared_memory and plain.stats.shared_memory
 
     @needs_shm
     def test_ipc_metrics_exported(self):
         from repro.obs import MetricsRegistry
 
-        shm = run(2, shared_memory=True)
+        shm = run(2)
         registry = MetricsRegistry()
         registry.observe_join(shm.stats)
         text = registry.render()
         assert "repro_join_ipc_bytes_total" in text
-        assert 'transport="shm"' in text
+        assert "repro_join_ipc_seconds" in text
+        # One transport: the label that told two apart is gone.
+        assert "transport=" not in text

@@ -7,11 +7,13 @@ convention RPM uses at partition boundaries, applied at stripe
 boundaries), and the ``(pid, part)``-ordered merge reassembles exactly
 the sequential sequence.  These tests drive that claim with randomized
 Zipf-tile-occupancy workloads — the skew regime the scheduler exists
-for — across the executor x transport x scheduler x dedup cross
-product: under ``dedup="twolayer"`` splitting slices the mini-join
+for — across the executor x pool ownership x scheduler x dedup cross
+product (a process pool spawned per run, or an external ``pool=``): under ``dedup="twolayer"`` splitting slices the mini-join
 schedule instead of a single stripe plan, and the charge-once counter
 convention for split siblings must still sum to the unsplit totals.
 """
+
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -49,18 +51,23 @@ LEFT = zipf_rects(N_SPLIT, seed=101)
 RIGHT = zipf_rects(N_SPLIT, seed=202, start_oid=10**6)
 
 
-def run(executor, *, scheduler="stealing", shared_memory=False, workers=2,
+def run(executor, *, scheduler="stealing", external_pool=False, workers=2,
         dedup="rpm"):
-    join = ParallelPBSM(
-        MEMORY,
-        workers,
-        internal="sweep_numpy",
-        executor=executor,
-        scheduler=scheduler,
-        shared_memory=shared_memory,
-        dedup=dedup,
-    )
-    return join.run(LEFT, RIGHT)
+    def join(pool=None):
+        return ParallelPBSM(
+            MEMORY,
+            workers,
+            internal="sweep_numpy",
+            executor=executor,
+            scheduler=scheduler,
+            dedup=dedup,
+            pool=pool,
+        ).run(LEFT, RIGHT)
+
+    if not external_pool:
+        return join()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return join(pool)
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +111,7 @@ class TestSplitTasks:
 
 
 # ----------------------------------------------------------------------
-# byte-identity under skew, every executor and transport
+# byte-identity under skew, every executor and pool
 # ----------------------------------------------------------------------
 @needs_numpy
 class TestSkewedByteIdentity:
@@ -152,15 +159,15 @@ class TestSkewedByteIdentity:
         )
 
     @pytest.mark.parametrize(
-        "executor,shared_memory",
+        "executor,external_pool",
         [
             ("process", False),
             pytest.param("process", True, marks=needs_shm),
             ("thread", False),
         ],
     )
-    def test_executors_byte_identical(self, simulated, executor, shared_memory):
-        real = run(executor, shared_memory=shared_memory)
+    def test_executors_byte_identical(self, simulated, executor, external_pool):
+        real = run(executor, external_pool=external_pool)
         assert real.pairs == simulated.pairs  # same pairs, same order
         assert not real.has_duplicates()
         assert (
@@ -183,7 +190,7 @@ class TestSkewedByteIdentity:
 # ----------------------------------------------------------------------
 @needs_numpy
 class TestTwolayerSkewMatrix:
-    """Executor x transport x scheduler, with two-layer duplicate avoidance.
+    """Executor x pool x scheduler, with two-layer duplicate avoidance.
 
     Splitting a two-layer task slices the flattened mini-join sequence
     (straddling mini-joins continue as forward-scan stripe sub-slices),
@@ -234,7 +241,7 @@ class TestTwolayerSkewMatrix:
 
     @pytest.mark.parametrize("scheduler", ["static", "stealing"])
     @pytest.mark.parametrize(
-        "executor,shared_memory",
+        "executor,external_pool",
         [
             ("simulated", False),
             ("process", False),
@@ -243,18 +250,18 @@ class TestTwolayerSkewMatrix:
         ],
     )
     def test_matrix_byte_identical(
-        self, twolayer_static, executor, shared_memory, scheduler
+        self, twolayer_static, executor, external_pool, scheduler
     ):
         real = run(
             executor,
             scheduler=scheduler,
-            shared_memory=shared_memory,
+            external_pool=external_pool,
             dedup="twolayer",
         )
         assert real.pairs == twolayer_static.pairs  # same pairs, same order
         assert not real.has_duplicates()
         # Charge-once: split stripe siblings (stealing) must sum to the
-        # unsplit (static) counter totals, on every executor/transport.
+        # unsplit (static) counter totals, on every executor and pool.
         assert real.stats.cpu_by_phase == twolayer_static.stats.cpu_by_phase
 
 

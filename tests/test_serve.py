@@ -384,6 +384,42 @@ class TestServer:
 
         run(scenario())
 
+    def test_bad_join_parameters_are_bad_requests(self):
+        """Malformed limits get a typed reply before admission, and the
+        connection stays usable for the next (valid) join."""
+        bad = [
+            {"memory_mb": "x"},
+            {"memory_mb": 0},
+            {"memory_mb": -1},
+            {"memory_mb": "nan"},
+            {"page_size": 0},
+        ]
+
+        async def scenario():
+            server = await _started_server()
+            try:
+                async with await ServeClient.connect(port=server.port) as client:
+                    for params in bad:
+                        summary, pairs = await client.join(
+                            "L", "R", include_pairs=True, **params
+                        )
+                        assert not summary["ok"], params
+                        assert summary["error"] == "bad_request", params
+                        assert pairs == []
+                    summary, _ = await client.join("L", "R")
+                    assert summary["ok"] and summary["done"]
+                    text = await client.metrics_text()
+                    assert (
+                        f'repro_serve_queries_total{{status="error"}} {len(bad)}'
+                        in text
+                    )
+                    # No join ran for a rejected request.
+                    assert 'repro_serve_queries_total{status="ok"} 1' in text
+            finally:
+                await server.stop()
+
+        run(scenario())
+
     def test_budget_rejection_over_the_wire(self):
         async def scenario():
             server = await _started_server(
@@ -490,8 +526,8 @@ class TestServeShm:
         assert sweep_orphan_segments(include_live=True) == []
 
     def test_pool_and_pinned_execution_matches_sequential(self):
-        """Force the parallel shared-memory candidate through the
-        persistent pool + pinned-segment path and demand byte parity."""
+        """Force a process-pool candidate through the persistent pool +
+        pinned-segment path and demand byte parity."""
         engine = EngineHost(MEMORY, workers=2)
         registry = make_registry()
         try:
@@ -505,9 +541,9 @@ class TestServeShm:
                 for c in plan.candidates
                 if c.method == "pbsm"
                 and "workers" in c.kwargs
-                and c.kwargs.get("shared_memory")
+                and c.kwargs.get("executor") == "process"
             ]
-            assert parallel, "planner enumerated no parallel shm candidate"
+            assert parallel, "planner enumerated no process-pool candidate"
             plan.chosen = parallel[0]
             result = engine.execute(plan, left, right)
             expected = spatial_join(LEFT, RIGHT, MEMORY, method="pbsm")
